@@ -20,9 +20,9 @@ A plan is cached under a SHA-256 of everything the search consumes:
   search algorithm changes, so stale artifacts from older planners are
   never resurrected.
 
-Entries are the exact JSON text of :func:`repro.core.serialization.plan_to_json`,
-persisted next to plan artifacts when a directory is given, so a warm hit
-is bit-identical to the cold search that produced it.
+Entries are the exact JSON text of :func:`repro.core.serialization.plan_to_json`
+(compact, machine-read), persisted next to plan artifacts when a directory
+is given, so a warm hit is bit-identical to the cold search that produced it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,10 @@ __all__ = [
 #: (online calibration can change predictions without changing the
 #: workload, so pre-calibration entries must not serve a calibrated
 #: request).
-PLANNER_CODE_VERSION = "rap-planner-3"
+#: rap-planner-4: plan text became compact (no indent). Older disk-tier
+#: entries are indented; re-searching them keeps every stored text equal
+#: to ``plan_to_json`` of the plan it holds.
+PLANNER_CODE_VERSION = "rap-planner-4"
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .planner import RapPlan
 
 __all__ = [
     "PlanLoadError",
+    "plan_payload",
+    "encode_plan",
     "plan_to_json",
     "plan_from_json",
     "load_plan",
@@ -101,12 +103,11 @@ def kernel_from_dict(data: dict[str, Any]) -> KernelDesc:
     )
 
 
-def plan_to_json(
+def plan_payload(
     plan: RapPlan,
-    indent: int | None = 2,
     resilience: Mapping[str, Any] | None = None,
-) -> str:
-    """Serialize the decision content of a plan.
+) -> dict[str, Any]:
+    """The decision content of a plan as a JSON-ready dict.
 
     ``resilience`` optionally embeds a fault-tolerant runtime's
     :meth:`repro.runtime.ResilienceReport.to_dict` alongside the plan, so a
@@ -150,7 +151,29 @@ def plan_to_json(
     }
     if resilience is not None:
         payload["resilience"] = dict(resilience)
+    return payload
+
+
+def encode_plan(payload: Mapping[str, Any], indent: int | None = None) -> str:
+    """The one byte layout of plan text.
+
+    Every machine-read plan text -- the plan cache's tiers, checkpoint
+    ``plan.json``, shadow anchors and the service's tenant-invariant
+    index -- is this function's compact output (``indent=None`` keeps
+    CPython's C encoder), so equal payloads always give equal bytes.
+    Only human-facing files written once per run (:func:`save_plan`)
+    pass an ``indent``.
+    """
     return json.dumps(payload, indent=indent)
+
+
+def plan_to_json(
+    plan: RapPlan,
+    indent: int | None = None,
+    resilience: Mapping[str, Any] | None = None,
+) -> str:
+    """Serialize the decision content of a plan (see :func:`plan_payload`)."""
+    return encode_plan(plan_payload(plan, resilience), indent)
 
 
 def plan_from_json(
@@ -250,9 +273,9 @@ def save_plan(
 
     The write is atomic (temp file + fsync + rename), so a crash mid-save
     leaves either the previous artifact or the new one -- never a torn
-    file.
+    file. The artifact is meant for people, so it is indented.
     """
-    atomic_write_text(path, plan_to_json(plan, resilience=resilience))
+    atomic_write_text(path, plan_to_json(plan, indent=2, resilience=resilience))
 
 
 def resilience_from_json(source: str, path: str | Path | None = None) -> dict[str, Any] | None:

@@ -21,10 +21,7 @@ from .device import IterationResult
 __all__ = ["to_chrome_trace", "render_gantt"]
 
 
-def to_chrome_trace(
-    results: IterationResult | ClusterIterationResult,
-    indent: int | None = None,
-) -> str:
+def to_chrome_trace(results: IterationResult | ClusterIterationResult) -> str:
     """Serialize one simulated iteration as Chrome trace-event JSON.
 
     Accepts either a single-GPU :class:`IterationResult` or a whole
@@ -46,7 +43,7 @@ def to_chrome_trace(
             )
         )
         events.extend(iteration_span_events(result, pid))
-    return trace_json(events, indent=indent)
+    return trace_json(events)
 
 
 def render_gantt(

@@ -93,7 +93,13 @@ class KernelDesc:
         return self.body_us / self.waves
 
     def with_duration(self, duration_us: float) -> "KernelDesc":
-        return replace(self, duration_us=duration_us)
+        """A copy lasting ``duration_us``, floored at the launch overhead.
+
+        A kernel never finishes faster than its launch, so a scale-down
+        (e.g. repeated ``plan_drift`` down-steps) bottoms out at
+        ``launch_us`` instead of building an invalid descriptor.
+        """
+        return replace(self, duration_us=max(duration_us, self.launch_us))
 
     def scaled(self, fraction: float, suffix: str = "") -> "KernelDesc":
         """Return a shard covering ``fraction`` of this kernel's work.

@@ -9,6 +9,10 @@ fault injector is a pure function of ``(seed, iteration, placement)`` and
 plan serialization round-trips bit-identically, a resumed run replays the
 exact trajectory of an uninterrupted one under the same seed.
 
+Members are compact single-line JSON: they are machine-read, and the C
+encoder writes them several times faster than an indented layout. The
+loader reads any layout, so checkpoints written indented still resume.
+
 Crash safety: every file is written atomically, and the per-checkpoint
 ``MANIFEST.json`` -- carrying a SHA-256 per member file -- is written
 *last*. A directory without a valid manifest (the process died mid-save)
@@ -156,9 +160,9 @@ class CheckpointManager:
             **state,
         }
         members = {
-            _STATE_FILE: json.dumps(state, sort_keys=True, indent=2),
+            _STATE_FILE: json.dumps(state, sort_keys=True),
             _PLAN_FILE: plan_text,
-            _REPORT_FILE: json.dumps(report, sort_keys=True, indent=2),
+            _REPORT_FILE: json.dumps(report, sort_keys=True),
         }
         for name, text in members.items():
             atomic_write_text(ckpt / name, text)
@@ -170,7 +174,7 @@ class CheckpointManager:
                 for name, text in members.items()
             },
         }
-        atomic_write_text(ckpt / _MANIFEST_FILE, json.dumps(manifest, sort_keys=True, indent=2))
+        atomic_write_text(ckpt / _MANIFEST_FILE, json.dumps(manifest, sort_keys=True))
         self._prune()
         return ckpt
 

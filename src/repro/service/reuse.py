@@ -19,6 +19,9 @@ tenant-invariant:
   :func:`~repro.core.plan_cache.invariant_plan_key`, so the invariant
   tier shares the cache's thread safety, disk persistence, and stats.
 
+All plan text here is encoded by :func:`repro.core.serialization.encode_plan`,
+the one owner of plan text's byte layout.
+
 :func:`renamed_model` is the inverse convenience: it builds a renamed
 (but isomorphic) copy of a graph set *and* its DLRM config with a
 uniform tenant prefix. Renaming the config's tables alongside the
@@ -33,7 +36,8 @@ import dataclasses
 import json
 
 from ..core.plan_cache import PlanCache, canonical_name_maps
-from ..core.serialization import plan_from_json
+from ..core.planner import RapPlan
+from ..core.serialization import encode_plan, plan_from_json, plan_payload
 from ..dlrm.model import DLRMConfig
 from ..dlrm.training import TrainingWorkload
 from ..preprocessing.graph import DENSE_CONSUMER, FeatureGraph, GraphSet
@@ -148,11 +152,11 @@ def _rename_plan_payload(
     column_map: dict[str, str],
     model_name: str,
 ) -> dict:
-    """Rename every graph/column reference in a plan payload in place.
+    """A copy of a plan payload with every graph/column reference renamed.
 
-    Dict insertion order is preserved throughout, so re-dumping with
-    ``json.dumps(..., indent=2)`` reproduces ``plan_to_json``'s exact
-    byte layout for the renamed plan.
+    Dict insertion order is preserved throughout, so encoding the result
+    with :func:`encode_plan` reproduces ``plan_to_json``'s exact bytes
+    for the renamed plan.
     """
     out = dict(payload)
     workload = dict(out.get("workload", {}))
@@ -179,13 +183,16 @@ def _rename_plan_payload(
     return out
 
 
+def _canonical_text(payload: dict, graph_set: GraphSet) -> str:
+    graph_map, column_map, _ = canonical_name_maps(graph_set)
+    return encode_plan(
+        _rename_plan_payload(payload, graph_map, column_map, _CANONICAL_MODEL)
+    )
+
+
 def canonicalize_plan_text(plan_text: str, graph_set: GraphSet) -> str:
     """``plan_text`` rewritten into the graph set's canonical names."""
-    graph_map, column_map, _ = canonical_name_maps(graph_set)
-    payload = _rename_plan_payload(
-        json.loads(plan_text), graph_map, column_map, _CANONICAL_MODEL
-    )
-    return json.dumps(payload, indent=2)
+    return _canonical_text(json.loads(plan_text), graph_set)
 
 
 def specialize_plan_text(
@@ -200,10 +207,11 @@ def specialize_plan_text(
     graph_map, column_map, _ = canonical_name_maps(graph_set)
     inverse_graphs = {v: k for k, v in graph_map.items()}
     inverse_columns = {v: k for k, v in column_map.items()}
-    payload = _rename_plan_payload(
-        json.loads(canonical_text), inverse_graphs, inverse_columns, model_name
+    return encode_plan(
+        _rename_plan_payload(
+            json.loads(canonical_text), inverse_graphs, inverse_columns, model_name
+        )
     )
-    return json.dumps(payload, indent=2)
 
 
 class SharedPlanIndex:
@@ -221,9 +229,10 @@ class SharedPlanIndex:
         self.misses = 0
         self.stores = 0
 
-    def store(self, invariant_key: str, plan_text: str, graph_set: GraphSet) -> None:
+    def store(self, invariant_key: str, plan: RapPlan, graph_set: GraphSet) -> None:
+        """Store ``plan`` in canonical names, encoding its payload once."""
         self.stores += 1
-        self.cache.put_text(invariant_key, canonicalize_plan_text(plan_text, graph_set))
+        self.cache.put_text(invariant_key, _canonical_text(plan_payload(plan), graph_set))
 
     def lookup(
         self,

@@ -41,7 +41,6 @@ from pathlib import Path
 
 from ..core.plan_cache import PlanCache, invariant_plan_key
 from ..core.planner import RapPlanner
-from ..core.serialization import plan_to_json
 from ..milp.branch_and_bound import BranchAndBoundSolver
 from ..milp.solve_cache import SolveCache
 from ..runtime.checkpoint import CheckpointManager
@@ -223,8 +222,7 @@ class PreprocessingService:
             self.plan_cache.put_text(exact_key, specialized)
             return planner, plan, "warm-invariant"
         plan = planner.plan(job.graphs)
-        text = self.plan_cache.get_text(exact_key) or plan_to_json(plan)
-        self.reuse.store(invariant_key, text, job.graphs)
+        self.reuse.store(invariant_key, plan, job.graphs)
         return planner, plan, "cold"
 
     def _meets_deadline(self, job: Job, plan) -> bool:

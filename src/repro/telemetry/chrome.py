@@ -146,8 +146,9 @@ def trace_document(events: list[dict]) -> dict:
     return {"traceEvents": list(events), "displayTimeUnit": "ms"}
 
 
-def trace_json(events: list[dict], indent: int | None = None) -> str:
-    return json.dumps(trace_document(events), indent=indent)
+def trace_json(events: list[dict]) -> str:
+    """Compact single-line trace JSON (the C encoder; traces are machine-read)."""
+    return json.dumps(trace_document(events))
 
 
 # ----------------------------------------------------------------------

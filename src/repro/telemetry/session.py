@@ -223,14 +223,14 @@ class TelemetrySession:
             self._jsonl.flush(self.registry, step=step)
 
     def write_artifacts(self, step: int | None = None) -> dict[str, Path]:
-        """Publish metrics and the Chrome trace; returns the artifact paths."""
+        """Publish metrics and the compact Chrome trace; returns the artifact paths."""
         if self.metrics_dir is None:
             return {}
         self.flush(step=step)
         trace_path = self.metrics_dir / "trace.json"
         from ..ioutil import atomic_write_text
 
-        atomic_write_text(trace_path, self.tracer.to_chrome_trace(indent=2))
+        atomic_write_text(trace_path, self.tracer.to_chrome_trace())
         return {
             "prometheus": self.metrics_dir / "metrics.prom",
             "jsonl": self.metrics_dir / "metrics.jsonl",

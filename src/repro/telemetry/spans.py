@@ -156,8 +156,8 @@ class Tracer:
 
     # ------------------------------------------------------------------
 
-    def to_chrome_trace(self, indent: int | None = None) -> str:
-        return trace_json(self._events, indent=indent)
+    def to_chrome_trace(self) -> str:
+        return trace_json(self._events)
 
     # Checkpointing: only the clock is control state; events are artifacts
     # of the *current* process and are not replayed across restarts.

@@ -53,11 +53,15 @@ class TestBitIdentity:
     def test_disk_tier_is_bit_identical(self, setting, tmp_path):
         graphs, workload = setting
         cold = RapPlanner(workload, cache=PlanCache(tmp_path)).plan(graphs)
+        # The stored text is exactly plan_to_json of the plan it holds:
+        # warm-invariant promotion relies on it.
+        (entry,) = tmp_path.glob("*.plan.json")
+        assert entry.read_text() == plan_to_json(cold)
         # A fresh planner over the same directory models a process restart.
         fresh = RapPlanner(workload, cache=PlanCache(tmp_path))
         warm = fresh.plan(graphs)
         assert fresh.cache.stats.hits == 1
-        assert plan_to_json(warm) == plan_to_json(cold)
+        assert plan_to_json(warm) == plan_to_json(cold) == entry.read_text()
 
     def test_parallel_search_is_bit_identical(self, setting):
         graphs, workload = setting

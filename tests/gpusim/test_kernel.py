@@ -53,6 +53,8 @@ class TestKernelDesc:
     def test_with_duration(self):
         k = make_kernel(duration=100.0)
         assert k.with_duration(42.0).duration_us == 42.0
+        # A kernel never finishes faster than its launch overhead.
+        assert k.with_duration(4.0).duration_us == k.launch_us
 
 
 class TestSharding:

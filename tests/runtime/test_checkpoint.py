@@ -1,6 +1,7 @@
 """Tests for iteration-consistent checkpoints, the run journal, and
 bit-identical resume after a simulated kill."""
 
+import hashlib
 import json
 
 import pytest
@@ -374,6 +375,47 @@ class TestKillAndResume:
         # The reference run crossed a membership change, so the resumed
         # trajectory replayed an elastic shrink bit-identically too.
         assert straight_report.membership_changes
+
+    def test_resume_from_indented_checkpoint_is_bit_identical(self, setting, tmp_path):
+        """A checkpoint in the older indent=2 layout still loads and resumes."""
+        graphs, _, workload = setting
+        straight_report = make_runtime(graphs, workload).run(16)
+
+        killed = make_runtime(graphs, workload)
+        checkpoints = CheckpointManager(tmp_path)
+        with pytest.raises(SimulatedKill):
+            killed.run(16, report=ResilienceReport(), checkpoints=checkpoints,
+                       checkpoint_every=4, kill_after=10)
+        ckpt = checkpoints.latest().directory
+        # Re-seal every member (and the manifest) in the indented layout,
+        # as checkpoints were written before members became compact.
+        files = {}
+        for name in ("state.json", "plan.json", "report.json"):
+            member = ckpt / name
+            text = member.read_text(encoding="utf-8")
+            assert "\n" not in text  # members are written compact
+            text = json.dumps(json.loads(text), indent=2, sort_keys=name != "plan.json")
+            member.write_text(text, encoding="utf-8")
+            files[name] = {
+                "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                "bytes": len(text.encode("utf-8")),
+            }
+        manifest = json.loads((ckpt / "MANIFEST.json").read_text())
+        manifest["files"] = files
+        (ckpt / "MANIFEST.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+
+        snapshot = checkpoints.latest()
+        assert snapshot is not None and snapshot.directory == ckpt
+        assert "\n" in snapshot.plan_text
+        resumed, report, start = FaultTolerantRuntime.restore(
+            snapshot,
+            graphs,
+            workload,
+            lambda wl: RapPlanner(wl),
+            injector=FaultInjector(specs=SPECS, seed=SEED),
+        )
+        resumed.run(16 - start, start_iteration=start, report=report)
+        assert report.to_dict() == straight_report.to_dict()
 
     def test_resume_restores_control_state(self, setting, tmp_path):
         graphs, _, workload = setting

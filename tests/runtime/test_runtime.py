@@ -221,6 +221,29 @@ class TestHostFaults:
         assert record.iteration_us >= clean.iteration_us
         assert record.exposed_us >= clean.exposed_preprocessing_us
 
+    def test_plan_drift_down_steps_floor_at_launch(self):
+        # Three x0.5 down-steps shrink a fused kernel of random plan 5
+        # below its launch overhead; the iteration must degrade, not raise.
+        from repro.preprocessing.random_plans import RandomPlanConfig, generate_random_plan
+
+        graphs, schema = generate_random_plan(RandomPlanConfig(seed=5), rows=4096)
+        workload = TrainingWorkload(
+            model_for_plan(graphs, schema), num_gpus=2, local_batch=4096
+        )
+        planner = RapPlanner(workload)
+        runtime = FaultTolerantRuntime(
+            planner,
+            graphs,
+            plan=planner.plan(graphs),
+            injector=FaultInjector(
+                schedule=[FaultEvent(PLAN_DRIFT, i, magnitude=0.5) for i in range(3)]
+            ),
+        )
+        for i in range(3):
+            record, faults, _ = runtime.run_iteration(i)
+            assert [f.kind for f in faults] == [PLAN_DRIFT]
+        assert record.iteration_us > 0
+
 
 class TestSequentialFallback:
     def test_many_faults_suspend_co_running(self, setting):
