@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .model import MilpProblem
 from .solve_cache import SolveCache, problem_fingerprint
@@ -98,6 +97,11 @@ class BranchAndBoundSolver:
         return solution
 
     def _solve(self, problem: MilpProblem, warm_start: np.ndarray | None = None) -> MilpSolution:
+        # scipy.optimize takes ~0.7 s to import; deferring it here keeps it
+        # off every import path that never solves a MILP (the data plane,
+        # plan-cache hits, the service's warm admissions).
+        from scipy.optimize import linprog
+
         arrays = problem.to_arrays()
         c = arrays["c"]
         integer_mask = arrays["integer_mask"]

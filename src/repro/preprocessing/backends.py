@@ -157,7 +157,9 @@ def _guarded(backend: KernelBackend, compile_fn: Callable[[], Callable], referen
 #
 # Element-loop re-implementations of the exactly-reproducible kernels.
 # Every loop replicates the numpy reference's arithmetic order and
-# rounding behaviour (documented inline where it is subtle).
+# rounding behaviour (documented inline where it is subtle). Each wrapper
+# keeps the reference signature, ``take`` included; element loops need no
+# scratch, so they ignore it.
 # ----------------------------------------------------------------------
 
 
@@ -180,7 +182,7 @@ def _build_numba_table(backend: KernelBackend) -> dict[str, Callable]:
                 h ^= h >> np.uint64(32)
                 out[i] = h % mod
 
-        def sigridhash(values, salt, max_value, out=None):
+        def sigridhash(values, salt, max_value, out=None, take=None):
             if out is None:
                 out = np.empty(values.shape[0], dtype=np.int64)
             loop(_ops._as_uint64(np.ascontiguousarray(values)), salt, max_value, _ops._as_uint64(out))
@@ -199,7 +201,7 @@ def _build_numba_table(backend: KernelBackend) -> dict[str, Callable]:
             for i in range(vals.shape[0]):
                 out[i] = (vals[i] * mult + off) % mod
 
-        def mapid(values, multiplier, offset, table_size, out=None):
+        def mapid(values, multiplier, offset, table_size, out=None, take=None):
             if out is None:
                 out = np.empty(values.shape[0], dtype=np.int64)
             loop(
@@ -226,7 +228,7 @@ def _build_numba_table(backend: KernelBackend) -> dict[str, Callable]:
                     v = upper
                 out[i] = v
 
-        def clamp(values, lower, upper, out=None):
+        def clamp(values, lower, upper, out=None, take=None):
             if lower > upper:
                 raise ValueError("Clamp lower bound exceeds upper bound")
             if out is None:
@@ -377,7 +379,7 @@ def _build_numba_table(backend: KernelBackend) -> dict[str, Callable]:
                     out_values[pos] = h % m
                     pos += 1
 
-        def ngram(offsets, values, n, out_hash_size, out_offsets=None, out_values=None):
+        def ngram(offsets, values, n, out_hash_size, out_offsets=None, out_values=None, take=None):
             if n < 1:
                 raise ValueError("Ngram needs n >= 1")
             lengths = lengths_from_offsets(offsets)
@@ -429,7 +431,7 @@ def _build_numexpr_table(backend: KernelBackend) -> dict[str, Callable]:
     def make_clamp():
         import numexpr as ne
 
-        def clamp(values, lower, upper, out=None):
+        def clamp(values, lower, upper, out=None, take=None):
             if lower > upper:
                 raise ValueError("Clamp lower bound exceeds upper bound")
             if out is None:

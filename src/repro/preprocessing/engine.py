@@ -17,7 +17,8 @@ batches through it:
   CSR ``values``/``offsets`` arrays; the naive ``_transform``s call the very
   same functions, which is what makes the two paths bit-identical by
   construction.
-- **Buffer arena** -- output arrays come from a size-classed pool that is
+- **Buffer arena** -- output arrays, and the sparse kernels' scratch
+  (passed in as ``take=arena.take``), come from a size-classed pool that is
   recycled across batches instead of reallocated, so steady-state execution
   performs no large allocations for elementwise outputs.
 
@@ -36,11 +37,10 @@ outlive the next one.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from ..milp.fusion_problem import FusionAssignment
 from .data import (
     Batch,
     DenseColumn,
@@ -64,6 +64,9 @@ from .ops import (
     onehot_kernel,
     sigridhash_kernel,
 )
+
+if TYPE_CHECKING:  # annotation only: the data plane never imports the solver
+    from ..milp.fusion_problem import FusionAssignment
 
 __all__ = [
     "BufferArena",
@@ -313,14 +316,14 @@ class _SparseEwStep:
         if len(cols) == 1:
             op, col = self.members[0], cols[0]
             out = arena.take(col.values.shape[0], np.int64)
-            self.kernel(col.values, *self.params, out=out)
+            self.kernel(col.values, *self.params, out=out, take=arena.take)
             regs[op.output] = SparseColumn.trusted(
                 op.output, col.offsets, out, self.hash_size_fn(col)
             )
             return
         staged = _concat_values([c.values for c in cols], arena, np.int64)
         out = arena.take(staged.shape[0], np.int64)
-        self.kernel(staged, *self.params, out=out)
+        self.kernel(staged, *self.params, out=out, take=arena.take)
         pos = 0
         for op, col in zip(self.members, cols):
             n = col.values.shape[0]
@@ -412,7 +415,7 @@ class _NgramStep:
             offs, vals = combined[0]
             out_offsets = arena.take(offs.shape[0], np.int64)
             offsets, grams = ngram_kernel(
-                offs, vals, self.n, self.out_hash_size, out_offsets=out_offsets
+                offs, vals, self.n, self.out_hash_size, out_offsets=out_offsets, take=arena.take
             )
             regs[op.output] = SparseColumn.trusted(op.output, offsets, grams, self.out_hash_size)
             return
@@ -425,7 +428,12 @@ class _NgramStep:
         concat_csr_blocks(offsets_list, values_list, out_offsets=big_offsets, out_values=big_values)
         out_offsets = arena.take(total_rows + 1, np.int64)
         out_offsets, out_values = ngram_kernel(
-            big_offsets, big_values, self.n, self.out_hash_size, out_offsets=out_offsets
+            big_offsets,
+            big_values,
+            self.n,
+            self.out_hash_size,
+            out_offsets=out_offsets,
+            take=arena.take,
         )
         row = 0
         for op, offs in zip(self.members, offsets_list):

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from ..gpusim.kernel import KernelDesc
 from ..gpusim.resources import GpuSpec, A100_SPEC
 from .data import Batch
@@ -106,13 +104,6 @@ class FeatureGraph:
         for op in self.ops:
             counts[op.op_name] = counts.get(op.op_name, 0) + 1
         return counts
-
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        for idx, op in enumerate(self.ops):
-            g.add_node(idx, op=op, label=op.describe())
-        g.add_edges_from(self._edges)
-        return g
 
     # ------------------------------------------------------------------
     # Execution and cost

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Any, ClassVar, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -120,6 +120,15 @@ def concat_sparse_rows(columns: Sequence[SparseColumn], name: str, hash_size: in
 # Contract: ``values`` (and ``offsets``) arguments are never mutated; when
 # ``out`` is given the result is written there (same elementwise math as the
 # allocate-and-return path) and ``out`` is returned.
+#
+# Scratch: the sparse kernels the engine's ``_SparseEwStep`` / ``_NgramStep``
+# call accept ``take``, a lease function with ``BufferArena.take``'s
+# ``(size, dtype) -> array`` signature, and draw every temporary from it
+# (``None`` means plain ``np.empty``). Kernels that need no scratch accept
+# and ignore it, so a step calls all of its kernels the same way. Leased
+# scratch keeps a warmed engine off the allocator: nnz-sized temporaries are
+# large enough to be served by fresh pages (mmap) on every batch otherwise,
+# at a cost that depends on whatever else has grown the process heap.
 # ----------------------------------------------------------------------
 
 
@@ -181,38 +190,50 @@ def bucketize_kernel(
 
 
 def _as_uint64(values: np.ndarray) -> np.ndarray:
-    """Zero-copy uint64 aliasing of an int64 array (wraps exactly like astype)."""
+    """Zero-copy uint64 aliasing of an int64 array (wraps exactly like astype).
+
+    Any other dtype is converted with ``astype`` (a bit-level view of a
+    narrower or float array would reinterpret, not convert, its values).
+    """
     if values.dtype == np.uint64:
         return values
-    try:
+    if values.dtype == np.int64:
         return values.view(np.uint64)
-    except ValueError:  # non-contiguous exotic layout: fall back to a copy
-        return values.astype(np.uint64)
+    return values.astype(np.uint64)
 
 
 def sigridhash_kernel(
-    values: np.ndarray, salt: int, max_value: int, out: np.ndarray | None = None
+    values: np.ndarray,
+    salt: int,
+    max_value: int,
+    out: np.ndarray | None = None,
+    take: Callable | None = None,
 ) -> np.ndarray:
     """SigridHash sparse ids into ``[0, max_value)``; int64 out.
 
     The mix is a splitmix64 finalizer; every pass writes the (caller-owned
-    or freshly allocated) output buffer in place, so the kernel performs no
-    per-pass allocations beyond the two shift temporaries.
+    or freshly allocated) output buffer in place, and both shifts go through
+    one scratch buffer drawn from ``take``.
     """
     if out is None:
         out = np.empty(values.shape[0], dtype=np.int64)
+    shifted = (take or np.empty)(values.shape[0], np.uint64)
     h = _as_uint64(out)
     np.multiply(_as_uint64(values), np.uint64(0x9E3779B97F4A7C15), out=h)
     h += np.uint64(salt)
-    h ^= h >> np.uint64(29)
+    h ^= np.right_shift(h, np.uint64(29), out=shifted)
     h *= np.uint64(0xBF58476D1CE4E5B9)
-    h ^= h >> np.uint64(32)
+    h ^= np.right_shift(h, np.uint64(32), out=shifted)
     np.remainder(h, np.uint64(max_value), out=h)
     return out
 
 
 def clamp_kernel(
-    values: np.ndarray, lower: int, upper: int, out: np.ndarray | None = None
+    values: np.ndarray,
+    lower: int,
+    upper: int,
+    out: np.ndarray | None = None,
+    take: Callable | None = None,
 ) -> np.ndarray:
     """Clamp sparse ids into ``[lower, upper]``; int64 out."""
     if lower > upper:
@@ -226,6 +247,7 @@ def mapid_kernel(
     offset: int,
     table_size: int,
     out: np.ndarray | None = None,
+    take: Callable | None = None,
 ) -> np.ndarray:
     """Affine id remap ``(v * multiplier + offset) % table_size``; int64 out."""
     if out is None:
@@ -285,38 +307,59 @@ def ngram_kernel(
     out_hash_size: int,
     out_offsets: np.ndarray | None = None,
     out_values: np.ndarray | None = None,
+    take: Callable | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hash every window of ``n`` consecutive ids within a row to a new id.
 
     Operates on the already row-wise-concatenated column (see
     :func:`repro.preprocessing.data.rowwise_concat_csr`); windows never span
-    row boundaries.
+    row boundaries. The window hash is the uint64 left fold
+    ``h = h * 1_000_003 + v`` over the window's ids, reduced modulo
+    ``out_hash_size``. Every temporary, and ``out_values`` when not given,
+    is drawn from ``take``.
     """
     if n < 1:
         raise ValueError("Ngram needs n >= 1")
-    lengths = lengths_from_offsets(offsets)
-    out_lengths = np.maximum(lengths - n + 1, 0)
-    out_offsets = offsets_from_lengths(out_lengths, out=out_offsets)
+    take = take or np.empty
+    rows = offsets.shape[0] - 1
+    lengths = take(rows, np.int64)
+    np.subtract(offsets[1:], offsets[:-1], out=lengths)
+    # Ids at the tail of a row that start no full window: min(length, n - 1).
+    cut = take(rows, np.int64)
+    np.minimum(lengths, n - 1, out=cut)
+    out_offsets = offsets_from_lengths(np.subtract(lengths, cut, out=lengths), out=out_offsets)
     nnz = int(offsets[-1])
-    if nnz == 0 or int(out_offsets[-1]) == 0:
+    total = int(out_offsets[-1])
+    if nnz == 0 or total == 0:
         empty = values[:0] if out_values is None else out_values[:0]
         return out_offsets, empty
-    v = values.astype(np.uint64)
+    # h[i] is the hash of the window starting at id i (windows running past
+    # the end of the array fold in zeros and are dropped below).
+    v = _as_uint64(values)
     prime = np.uint64(1_000_003)
-    h = np.zeros(nnz, dtype=np.uint64)
-    for t in range(n):
-        shifted = np.zeros(nnz, dtype=np.uint64)
-        shifted[: nnz - t] = v[t:]
-        h = h * prime + shifted
-    num_rows = len(offsets) - 1
-    row_ids = np.repeat(np.arange(num_rows), lengths)
-    tail_rows = np.full(nnz, -1, dtype=np.int64)
-    tail_rows[: nnz - (n - 1)] = row_ids[n - 1 :] if n > 1 else row_ids
-    valid = row_ids == tail_rows
-    grams = (h[valid] % np.uint64(out_hash_size)).astype(np.int64)
+    h = take(nnz, np.uint64)
+    np.copyto(h, v)
+    for t in range(1, n):
+        h *= prime
+        h[: nnz - t] += v[t:]
     if out_values is None:
-        return out_offsets, grams
-    out_values[...] = grams
+        out_values = take(total, np.int64)
+    grams = _as_uint64(out_values)
+    if total < nnz:
+        # Gather the in-row windows: output j of row r reads h at
+        # j + (ids cut from rows before r). The source index is a cumsum of
+        # ones plus each row's cut, added at the next row's first output
+        # (add.at sums the cuts of rows that produce no output). Unlike a
+        # boolean mask + np.compress, which allocates an index array and
+        # buffers ``out``, this runs entirely in leased memory.
+        src = take(total + 1, np.int64)
+        src.fill(1)
+        src[0] = 0
+        np.add.at(src, out_offsets[1:-1], cut[:-1])
+        np.cumsum(src, out=src)
+        np.take(h, src[:total], out=grams, mode="clip")
+        h = grams
+    np.remainder(h, np.uint64(out_hash_size), out=grams)
     return out_offsets, out_values
 
 

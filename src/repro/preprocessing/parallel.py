@@ -41,10 +41,10 @@ import weakref
 from multiprocessing import get_context, shared_memory
 from pathlib import Path
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..milp.fusion_problem import FusionAssignment
 from .data import Batch, DenseColumn, SparseColumn
 from .engine import (
     CompiledProgram,
@@ -56,6 +56,9 @@ from .engine import (
 from .executor import MissingColumnsError
 from .graph import GraphSet
 from .ops import PreprocessingOp
+
+if TYPE_CHECKING:  # annotation only: the data plane never imports the solver
+    from ..milp.fusion_problem import FusionAssignment
 
 __all__ = [
     "EngineMetrics",

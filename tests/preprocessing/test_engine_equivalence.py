@@ -8,6 +8,8 @@ across all Table-1 operators, random graphs, fused and unfused execution,
 and empty/ragged/single-row batches.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,8 +34,14 @@ from repro.preprocessing import (
     execute_graph_set,
     make_op,
 )
-from repro.preprocessing import ParallelEngine, resolve_backend
+from repro.preprocessing import (
+    BufferArena,
+    ParallelEngine,
+    resolve_backend,
+    rowwise_concat_csr,
+)
 from repro.preprocessing.executor import MissingColumnsError
+from repro.preprocessing.ops import ngram_kernel, sigridhash_kernel
 from repro.preprocessing.random_plans import RandomPlanConfig, generate_random_plan
 from repro.core import RapPlanner
 
@@ -112,6 +120,8 @@ TABLE1_OPS = [
     ("Clamp", ("s0",), "t0", dict(lower=5, upper=500)),
     ("MapId", ("s0",), "t0", dict(multiplier=2_654_435_761, offset=1, table_size=997)),
     ("Ngram", ("s0", "s1"), "t0", dict(n=2, out_hash_size=1009)),
+    ("Ngram", ("s0",), "t0", dict(n=1, out_hash_size=2**40)),
+    ("Ngram", ("s0", "s1"), "t0", dict(n=3, out_hash_size=2_000_000)),
 ]
 
 
@@ -123,13 +133,21 @@ def test_single_op_bit_identical(op_name, inputs, consumer, params, seed, rows):
     graph_set = GraphSet(
         [FeatureGraph(f"g_{op_name}", [op], consumer=consumer)], rows=rows
     )
-    batch = random_batch(np.random.default_rng(seed), rows)
+    rng = np.random.default_rng(seed)
+    batch = random_batch(rng, rows)
+    other = random_batch(rng, rows)
     golden = execute_graph_set(graph_set, batch)
     for mode, program in all_modes(graph_set):
         out = program.execute(batch)
         assert_batches_bit_identical(
             golden, out, produced_outputs(graph_set)
         ), f"mode {mode}"
+        # Again on a warm arena: outputs and kernel scratch now come from
+        # recycled buffers that still hold another batch's data.
+        program.execute(other)
+        assert_batches_bit_identical(
+            golden, program.execute(batch), produced_outputs(graph_set)
+        ), f"mode {mode}, warm arena"
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +236,10 @@ def test_backend_worker_matrix_bit_identical(backend, workers):
     names = produced_outputs(graph_set)
     batch = dataset.batch(256, index=0)
     golden = execute_graph_set(graph_set, batch)
-    # Single-core compiled with this backend...
+    # Single-core compiled with this backend, cold and on a warm arena...
     program = compile_graph_set(graph_set, backend=backend)
+    assert_batches_bit_identical(golden, program.execute(batch), names)
+    program.execute(dataset.batch(256, index=2))
     assert_batches_bit_identical(golden, program.execute(batch), names)
     # ...and the sharded multi-process engine at this width, including
     # arena reuse across iterations (the second batch recycles worker
@@ -296,6 +316,44 @@ def test_arena_steady_state_no_new_allocations():
     assert program.arena.stats()["allocated_blocks"] == allocated_after_first
     assert program.arena.stats()["reused_blocks"] > 0
     assert program.batches_executed == 2
+
+
+@pytest.mark.parametrize(
+    "kernel,args",
+    [
+        (ngram_kernel, (3, 2_000_000)),
+        (sigridhash_kernel, (7, 2_000_000)),
+    ],
+    ids=["ngram", "sigridhash"],
+)
+def test_warm_kernel_scratch_comes_from_arena(kernel, args):
+    """With ``take=arena.take`` a warmed sparse kernel allocates less than one
+    nnz-sized buffer: its scratch (and ngram's output) is leased, not fresh."""
+    graph_set, schema = build_plan(2, rows=4096)
+    batch = SyntheticCriteoDataset(schema, seed=17).batch(4096, index=0)
+    ngram = next(op for graph in graph_set for op in graph.ops if op.op_name == "Ngram")
+    offsets, values = rowwise_concat_csr(
+        [batch.sparse[name].offsets for name in ngram.inputs],
+        [batch.sparse[name].values for name in ngram.inputs],
+    )
+    arena = BufferArena()
+
+    def call():
+        arena.reset()
+        if kernel is ngram_kernel:
+            out_offsets = arena.take(offsets.shape[0], np.int64)
+            return kernel(offsets, values, *args, out_offsets=out_offsets, take=arena.take)
+        out = arena.take(values.shape[0], np.int64)
+        return kernel(values, *args, out=out, take=arena.take)
+
+    call()  # warm-up: the arena allocates its blocks once
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes, f"peak {peak} B vs one nnz buffer {values.nbytes} B"
 
 
 def test_copy_outputs_survive_next_batch():
