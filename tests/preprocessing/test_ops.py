@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gpusim.resources import A100_SPEC
 from repro.preprocessing.data import Batch, DenseColumn, SparseColumn
+from repro.preprocessing.engine import BufferArena
 from repro.preprocessing.ops import (
     OP_REGISTRY,
     BoxCox,
@@ -21,6 +22,7 @@ from repro.preprocessing.ops import (
     SigridHash,
     concat_sparse_rows,
     make_op,
+    ngram_kernel,
 )
 
 
@@ -361,11 +363,29 @@ class TestCostModel:
     n=st.integers(min_value=1, max_value=4),
 )
 def test_ngram_length_invariant(lengths, n):
-    """Property: per-row gram count is max(0, len - n + 1)."""
+    """Property: per-row gram count is max(0, len - n + 1), and every gram is
+    the uint64 left fold of its in-row window -- also when the kernel draws
+    its scratch from a recycled arena."""
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    values = np.arange(int(offsets[-1]), dtype=np.int64)
+    # Large ids (half of them negative as int64) so the fold wraps.
+    ids = np.arange(int(offsets[-1]), dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    values = ids.view(np.int64)
     b = Batch(sparse={"s": SparseColumn("s", offsets, values, 10**6)})
     out = Ngram(inputs=("s",), output="y", n=n, out_hash_size=10**6).apply(b)
     expected = [max(0, L - n + 1) for L in lengths]
     np.testing.assert_array_equal(out.lengths(), expected)
+    grams = []
+    for start, end in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        for w in range(start, end - n + 1):
+            h = 0
+            for v in ids[w : w + n].tolist():
+                h = (h * 1_000_003 + v) % 2**64
+            grams.append(h % 10**6)
+    assert out.values.tolist() == grams
+    arena = BufferArena()
+    for _ in range(2):  # the second call runs on dirty, recycled scratch
+        arena.reset()
+        leased = ngram_kernel(offsets, values, n, 10**6, take=arena.take)
+        assert np.array_equal(leased[0], out.offsets)
+        assert np.array_equal(leased[1], out.values)
