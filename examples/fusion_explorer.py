@@ -3,9 +3,9 @@
 
 Reproduces the §6.1 conflict case interactively: two chains order FirstX
 and SigridHash oppositely, so the two fusion opportunities cannot both be
-taken. Greedy ASAP scheduling finds neither; the MILP (branch-and-bound
-over the linearized quadratic objective) delays one chain and fuses one
-pair. Then scales up to show the heuristic on a plan-sized instance.
+taken. Greedy ASAP scheduling finds neither; the MILP (one HiGHS
+branch-and-cut call, ``scipy.optimize.milp``, over the linearized quadratic
+objective) delays one chain and fuses one pair. Then scales up to show the heuristic on a plan-sized instance.
 
 Run:  python examples/fusion_explorer.py
 """

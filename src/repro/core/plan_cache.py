@@ -67,7 +67,10 @@ __all__ = [
 #: rap-planner-4: plan text became compact (no indent). Older disk-tier
 #: entries are indented; re-searching them keeps every stored text equal
 #: to ``plan_to_json`` of the plan it holds.
-PLANNER_CODE_VERSION = "rap-planner-4"
+#: rap-planner-5: the fusion MILP is solved by one HiGHS branch-and-cut
+#: call, which can pick a different one of several equal optima (and
+#: proves optima the old tree search timed out on).
+PLANNER_CODE_VERSION = "rap-planner-5"
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +417,17 @@ class PlanCache:
         return self.directory / f"{key}.plan.json"
 
     def get(
-        self, key: str, workload: TrainingWorkload, graph_set: GraphSet
+        self,
+        key: str,
+        workload: TrainingWorkload,
+        graph_set: GraphSet,
+        count_miss: bool = True,
     ) -> "RapPlan | None":
+        """The plan stored under ``key``, rebuilt over ``workload``/``graph_set``.
+
+        ``count_miss=False`` makes a miss leave the statistics untouched, for
+        a probe whose caller goes on to another tier or a counted lookup.
+        """
         from .serialization import PlanLoadError, plan_from_json
 
         with self._tier_lock:
@@ -444,8 +456,9 @@ class PlanCache:
                         self.stats.disk_hits += 1
                     self._count("hits", tier)
                     return plan
-            self.stats.misses += 1
-            self._count("misses")
+            if count_miss:
+                self.stats.misses += 1
+                self._count("misses")
             return None
 
     def get_text(self, key: str) -> str | None:

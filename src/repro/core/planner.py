@@ -241,6 +241,22 @@ class RapPlanner:
             predictor_fingerprint=self._predictor_fingerprint(),
         )
 
+    def cached_plan(self, graph_set: GraphSet, key: str) -> RapPlan | None:
+        """Serve ``graph_set`` from the plan cache under a precomputed ``key``.
+
+        A hit counts as one planned, cached plan, exactly as :meth:`plan`
+        counts it. A miss counts nothing, so a caller that falls back to
+        another tier or to :meth:`plan` leaves the statistics as if it had
+        looked up once.
+        """
+        if self.cache is None:
+            return None
+        hit = self.cache.get(key, self.workload, graph_set, count_miss=False)
+        if hit is not None:
+            self.stats.plans += 1
+            self.stats.cache_hits += 1
+        return hit
+
     def plan(self, graph_set: GraphSet) -> RapPlan:
         """Search the mapping + fusion + schedule for one workload.
 

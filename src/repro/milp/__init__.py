@@ -1,8 +1,8 @@
-"""``repro.milp`` -- from-scratch MILP solving (the Gurobi substitute).
+"""``repro.milp`` -- MILP modeling and solving (the Gurobi substitute).
 
-A modeling layer, a branch-and-bound solver over scipy HiGHS LP
-relaxations, binary-product linearization, and the paper's §6.2
-horizontal-fusion formulation with exact and heuristic solution paths.
+A modeling layer solved by one HiGHS branch-and-cut call
+(``scipy.optimize.milp``), binary-product linearization, and the paper's
+§6.2 horizontal-fusion formulation with exact and heuristic solution paths.
 """
 
 from .model import Constraint, MilpProblem, Variable

@@ -1,17 +1,15 @@
-"""Branch-and-bound MILP solver over scipy ``linprog`` LP relaxations.
+"""MILP solving with one HiGHS branch-and-cut call (``scipy.optimize.milp``).
 
-A deliberately transparent implementation of the textbook algorithm:
-best-first search on the LP relaxation bound, branching on the most
-fractional integer variable, with warm-start incumbents and node/time
-limits so large instances degrade gracefully to the best feasible solution
-found (mirroring how Gurobi would be used with a time limit in the paper's
-pipeline).
+The paper solves its fusion MILP with Gurobi; HiGHS, which scipy already
+ships, is the stand-in here. Node and time limits let large instances
+degrade gracefully to the best feasible solution found (mirroring how
+Gurobi would be used with a time limit in the paper's pipeline), and a
+feasible warm start stays the fallback incumbent, since ``milp`` cannot
+take one as input.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -50,18 +48,8 @@ class MilpSolution:
         return self.x is not None
 
 
-@dataclass
-class _Node:
-    """One branch-and-bound node: extra variable bounds on the relaxation."""
-
-    bound: float  # LP relaxation objective (minimization form)
-    lower: np.ndarray
-    upper: np.ndarray
-    depth: int = 0
-
-
 class BranchAndBoundSolver:
-    """Solve a :class:`MilpProblem` by LP-based branch and bound."""
+    """Solve a :class:`MilpProblem` by HiGHS branch and cut under node/time limits."""
 
     def __init__(
         self,
@@ -100,122 +88,88 @@ class BranchAndBoundSolver:
         # scipy.optimize takes ~0.7 s to import; deferring it here keeps it
         # off every import path that never solves a MILP (the data plane,
         # plan-cache hits, the service's warm admissions).
-        from scipy.optimize import linprog
+        from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+        deadline = time.monotonic() + self.time_limit_s
         arrays = problem.to_arrays()
         c = arrays["c"]
         integer_mask = arrays["integer_mask"]
-        base_lower = np.array([b[0] for b in arrays["bounds"]], dtype=float)
-        base_upper = np.array([b[1] for b in arrays["bounds"]], dtype=float)
+        lower, upper = np.array(arrays["bounds"], dtype=float).reshape(-1, 2).T
 
         incumbent_x: np.ndarray | None = None
         incumbent_obj = np.inf  # minimization form
-        if warm_start is not None and problem.is_feasible(warm_start):
+        if warm_start is not None and problem.is_feasible(warm_start, self.integrality_tol):
             incumbent_x = np.asarray(warm_start, dtype=float)
             incumbent_obj = float(c @ incumbent_x)
 
-        def relax(lower: np.ndarray, upper: np.ndarray):
-            return linprog(
+        def result(status: str, nodes: int, gap: float | None) -> MilpSolution:
+            if incumbent_x is None:
+                return MilpSolution(status, None, None, nodes)
+            objective = problem.objective_value(incumbent_x)
+            return MilpSolution(status, incumbent_x, objective, nodes, gap=gap)
+
+        def failed(nodes: int) -> MilpSolution:
+            # Infeasible (or unbounded, or a numerical failure). A feasible
+            # warm start proves the failure numerical; with no dual bound it
+            # is returned as-is with a zero gap estimate.
+            return result("feasible" if incumbent_x is not None else "infeasible", nodes, 0.0)
+
+        remaining = deadline - time.monotonic()
+        if self.node_limit <= 0 or remaining <= 0:
+            # No node may be explored: the root LP relaxation alone bounds
+            # the (warm-start) incumbent.
+            status = "node_limit" if self.node_limit <= 0 else "time_limit"
+            nodes, bound = 0, None
+        else:
+            constraints = []
+            if arrays["A_ub"] is not None:
+                constraints.append(LinearConstraint(arrays["A_ub"], -np.inf, arrays["b_ub"]))
+            if arrays["A_eq"] is not None:
+                constraints.append(LinearConstraint(arrays["A_eq"], arrays["b_eq"], arrays["b_eq"]))
+            res = milp(
+                c,
+                integrality=integer_mask,
+                bounds=Bounds(lower, upper),
+                constraints=constraints,
+                options={
+                    "node_limit": self.node_limit,
+                    "time_limit": remaining,
+                    "mip_rel_gap": 0.0,
+                },
+            )
+            nodes = int(res.mip_node_count or 0)
+            if res.x is not None and res.fun < incumbent_obj - self.gap_tol:
+                incumbent_x = res.x.copy()
+                incumbent_x[integer_mask] = np.round(incumbent_x[integer_mask])
+                incumbent_obj = float(c @ incumbent_x)
+            if res.status == 0:
+                return result("optimal", nodes, 0.0)
+            # HiGHS reports its node limit as a "solution limit" (status 4).
+            if res.status == 1:
+                status = "time_limit"
+            elif res.status == 4 and "Solution limit" in res.message:
+                status = "node_limit"
+            else:
+                return failed(nodes)
+            if incumbent_x is None:
+                return result(status, nodes, None)
+            bound = res.mip_dual_bound
+        if bound is None or not np.isfinite(bound):
+            root = linprog(
                 c,
                 A_ub=arrays["A_ub"],
                 b_ub=arrays["b_ub"],
                 A_eq=arrays["A_eq"],
                 b_eq=arrays["b_eq"],
-                bounds=list(zip(lower, upper)),
+                bounds=np.column_stack([lower, upper]),
                 method="highs",
             )
-
-        root = relax(base_lower, base_upper)
-        if not root.success:
-            if incumbent_x is not None:
-                # The warm start proves feasibility, so the relaxation's
-                # failure is numerical; with no dual bound available the
-                # incumbent is returned as-is with a zero gap estimate.
-                return MilpSolution(
-                    "feasible", incumbent_x, problem.objective_value(incumbent_x), 0, gap=0.0
-                )
-            return MilpSolution("infeasible", None, None)
-
-        counter = itertools.count()
-        heap: list[tuple[float, int, _Node]] = []
-        heapq.heappush(
-            heap, (root.fun, next(counter), _Node(root.fun, base_lower, base_upper))
-        )
-        nodes = 0
-        deadline = time.monotonic() + self.time_limit_s
-        status = "optimal"
-
-        while heap:
-            if nodes >= self.node_limit:
-                status = "node_limit"
-                break
-            if time.monotonic() > deadline:
-                status = "time_limit"
-                break
-            bound, _, node = heapq.heappop(heap)
-            if bound >= incumbent_obj - self.gap_tol:
-                continue  # cannot improve on the incumbent
-            result = relax(node.lower, node.upper)
-            nodes += 1
-            if not result.success or result.fun >= incumbent_obj - self.gap_tol:
-                continue
-            x = result.x
-            frac = np.where(
-                integer_mask,
-                np.abs(x - np.round(x)),
-                0.0,
-            )
-            worst = int(np.argmax(frac))
-            if frac[worst] <= self.integrality_tol:
-                # Integral solution: new incumbent.
-                snapped = x.copy()
-                snapped[integer_mask] = np.round(snapped[integer_mask])
-                incumbent_x = snapped
-                incumbent_obj = float(c @ snapped)
-                continue
-            # Branch on the most fractional variable.
-            floor_val = np.floor(x[worst])
-            down_upper = node.upper.copy()
-            down_upper[worst] = floor_val
-            up_lower = node.lower.copy()
-            up_lower[worst] = floor_val + 1.0
-            if down_upper[worst] >= node.lower[worst]:
-                heapq.heappush(
-                    heap,
-                    (result.fun, next(counter), _Node(result.fun, node.lower, down_upper, node.depth + 1)),
-                )
-            if up_lower[worst] <= node.upper[worst]:
-                heapq.heappush(
-                    heap,
-                    (result.fun, next(counter), _Node(result.fun, up_lower, node.upper, node.depth + 1)),
-                )
-
-        if incumbent_x is None and status in ("node_limit", "time_limit"):
-            # Limits hit before any integral node: try snapping the root
-            # relaxation to integers as a last-resort feasible point.
-            snapped = root.x.copy()
-            snapped[integer_mask] = np.floor(snapped[integer_mask] + self.integrality_tol)
-            if problem.is_feasible(snapped):
-                incumbent_x = snapped
-                incumbent_obj = float(c @ snapped)
+            if not root.success:
+                return failed(nodes)
+            bound = root.fun
         if incumbent_x is None:
-            return MilpSolution("infeasible" if status == "optimal" else status, None, None, nodes)
-        if status == "optimal":
-            # Natural exit: the heap drained, so the incumbent is proven.
-            return MilpSolution(
-                "optimal", incumbent_x, problem.objective_value(incumbent_x), nodes, gap=0.0
-            )
+            return result(status, nodes, None)
         # A limit stopped the search with an incumbent in hand (possibly the
-        # untouched warm start at zero nodes explored): report "feasible"
-        # with a finite optimality gap against the best open relaxation
-        # bound. The heap is never empty here -- limits break out of the
-        # loop before popping -- so a real dual bound always exists.
-        best_bound = heap[0][0] if heap else incumbent_obj
-        gap = max(0.0, incumbent_obj - best_bound)
-        return MilpSolution(
-            "feasible",
-            incumbent_x,
-            problem.objective_value(incumbent_x),
-            nodes,
-            gap=gap,
-        )
+        # untouched warm start): "feasible", with a finite gap against the
+        # best dual bound.
+        return result("feasible", nodes, max(0.0, incumbent_obj - bound))

@@ -11,7 +11,7 @@ number of co-scheduled same-type pairs".
 
 Two solution paths:
 
-- **Exact**: the MILP via our branch-and-bound solver, warm-started from
+- **Exact**: the MILP via one HiGHS branch-and-cut call, warm-started from
   the greedy assignment. Used for small instances and in tests, where
   optimality can be asserted.
 - **Heuristic**: ASAP level assignment plus a pair-improving local search.

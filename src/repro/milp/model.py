@@ -2,11 +2,11 @@
 
 The paper formulates horizontal-fusion planning as a MILP (§6.2) and
 solves it with Gurobi. Gurobi is unavailable here, so ``repro.milp``
-provides a from-scratch replacement: this module is the modeling surface
-(variables, linear constraints, linear objective) and
-:mod:`repro.milp.branch_and_bound` is the solver, using scipy's HiGHS
-``linprog`` for LP relaxations. Quadratic binary objectives are lowered to
-linear form by :mod:`repro.milp.linearize`.
+provides a replacement: this module is the modeling surface (variables,
+linear constraints, linear objective) and :mod:`repro.milp.branch_and_bound`
+is the solver, one HiGHS branch-and-cut call (``scipy.optimize.milp``).
+Quadratic binary objectives are lowered to linear form by
+:mod:`repro.milp.linearize`.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class MilpProblem:
     # ------------------------------------------------------------------
 
     def to_arrays(self) -> dict[str, np.ndarray | list]:
-        """Lower to the arrays scipy ``linprog`` consumes (minimization form)."""
+        """Lower to the arrays the HiGHS solver consumes (minimization form)."""
         n = self.num_vars
         c = np.zeros(n)
         for idx, coef in self._objective.items():

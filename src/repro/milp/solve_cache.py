@@ -33,7 +33,9 @@ __all__ = ["SolveCacheStats", "SolveCache", "problem_fingerprint"]
 
 #: Bump when the solver's search behaviour changes in a way that can alter
 #: returned solutions; persisted entries from older code are then ignored.
-SOLVER_CACHE_VERSION = 1
+#: v2: one HiGHS branch-and-cut call replaced the linprog-per-node tree
+#: search, which can break ties between equal optima differently.
+SOLVER_CACHE_VERSION = 2
 
 
 def _update_array(h, label: str, arr) -> None:

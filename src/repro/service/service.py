@@ -200,8 +200,9 @@ class PreprocessingService:
         workload = carved_workload(job.workload, share)
         planner = self._planner_factory(workload)
         exact_key = planner._cache_key(job.graphs)
-        if self.plan_cache.get_text(exact_key) is not None:
-            return planner, planner.plan(job.graphs), "warm-exact"
+        plan = planner.cached_plan(job.graphs, exact_key)
+        if plan is not None:
+            return planner, plan, "warm-exact"
         invariant_key = invariant_plan_key(
             workload,
             job.graphs,

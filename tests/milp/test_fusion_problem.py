@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.milp.branch_and_bound import BranchAndBoundSolver
 from repro.milp.fusion_problem import (
     FusionAssignment,
     FusionInstance,
@@ -158,3 +159,54 @@ class TestSolveFusion:
         inst = FusionInstance(op_types=["A"] * n)
         a = solve_fusion(inst, exact=True)
         assert a.quadratic_objective() == n * n
+
+
+class _Captured(Exception):
+    pass
+
+
+def first_fusion_instance(seed: int, monkeypatch) -> FusionInstance:
+    """The first fusion instance the planner builds for random plan ``seed``.
+
+    The planner runs at 2 GPUs and 4096 rows; the search stops as soon as
+    the fusion pass asks for its first solve.
+    """
+    import repro.core.fusion as core_fusion
+    from repro import RapPlanner, TrainingWorkload, model_for_plan
+    from repro.preprocessing.random_plans import RandomPlanConfig, generate_random_plan
+
+    captured = []
+
+    def capture(instance, **_):
+        captured.append(instance)
+        raise _Captured
+
+    monkeypatch.setattr(core_fusion, "solve_fusion", capture)
+    graphs, schema = generate_random_plan(RandomPlanConfig(seed=seed), rows=4096)
+    workload = TrainingWorkload(model_for_plan(graphs, schema), num_gpus=2, local_batch=4096)
+    with pytest.raises(_Captured):
+        RapPlanner(workload).plan(graphs)
+    return captured[0]
+
+
+class TestRandomPlanFusionMilps:
+    """Regression pins on the fusion MILPs of seeded random plans."""
+
+    def test_seed8_proves_optimality_within_200_nodes(self, monkeypatch):
+        # A 20-op, 462-variable instance. Its optimum must be proven well
+        # inside the default limits, so the plan does not depend on host speed.
+        instance = first_fusion_instance(8, monkeypatch)
+        assignment = solve_fusion(
+            instance, exact=True, solver=BranchAndBoundSolver(node_limit=200)
+        )
+        assert assignment.method == "milp"
+        assert assignment.milp_status == "optimal"
+
+    def test_seed5_assignment_is_pinned(self, monkeypatch):
+        # Random plan 5 drives the faulted-shadow benchmark; its fusion
+        # steps must not move when the solver changes.
+        instance = first_fusion_instance(5, monkeypatch)
+        assignment = solve_fusion(instance, solver=BranchAndBoundSolver())
+        assert assignment.method == "milp"
+        assert assignment.milp_status == "optimal"
+        assert assignment.steps == [0, 2, 4, 0, 1, 2, 3, 0, 2, 3, 4, 5, 6, 0, 3]

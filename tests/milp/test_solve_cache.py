@@ -95,6 +95,21 @@ class TestSolveCache:
         assert sol.status == "optimal"
         assert cache.stats.misses == 1
 
+    def test_entry_from_previous_solver_version_misses(self, tmp_path, monkeypatch):
+        import repro.milp.solve_cache as solve_cache
+
+        p = knapsack([5, 4], [3, 3], 3)
+        current = solve_cache.SOLVER_CACHE_VERSION
+        monkeypatch.setattr(solve_cache, "SOLVER_CACHE_VERSION", current - 1)
+        BranchAndBoundSolver(cache=SolveCache(tmp_path)).solve(p)
+        monkeypatch.setattr(solve_cache, "SOLVER_CACHE_VERSION", current)
+        assert len(list(tmp_path.glob("*.milp.json"))) == 1
+        cache = SolveCache(tmp_path)
+        sol = BranchAndBoundSolver(cache=cache).solve(p)
+        assert sol.status == "optimal"
+        assert cache.stats.hits == 0
+        assert cache.stats.misses == 1
+
     def test_none_solution_fields_round_trip(self, tmp_path):
         cache = SolveCache(tmp_path)
         cache.put("k", MilpSolution("infeasible", None, None))

@@ -8,6 +8,7 @@ the shared caches, queue/reject paths, per-tenant journals, and the
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +197,33 @@ class TestWarmReAdmission:
         assert plan_to_json(second.jobs[0].runtime.plan) == plan_to_json(
             first.jobs[0].runtime.plan
         )
+
+    def test_exact_admission_reads_the_disk_entry_once(self, tmp_path, monkeypatch):
+        first = PreprocessingService(tmp_path / "first", num_gpus=2, telemetry=False)
+        first.submit(_light("alice", num_iterations=2))
+        first.run()
+
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            if path.name.endswith(".plan.json"):
+                reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        second = PreprocessingService(
+            tmp_path / "second", num_gpus=2, telemetry=False,
+            cache_dir=tmp_path / "first" / "cache",
+        )
+        second.submit(_light("alice", num_iterations=2))
+        warm = second.run()
+        assert warm.job("alice")["plan_source"] == "warm-exact"
+        assert len(reads) == 1
+        stats = second.plan_cache.stats
+        assert (stats.hits, stats.disk_hits, stats.misses) == (1, 1, 0)
+        planner = second.jobs[0].runtime.planner
+        assert (planner.stats.plans, planner.stats.cache_hits) == (1, 1)
 
     def test_isomorphic_tenant_hits_invariant_tier(self, tmp_path):
         first = PreprocessingService(tmp_path / "first", num_gpus=2, telemetry=False)
