@@ -32,7 +32,6 @@ from repro.preprocessing import (
     PipelinedFeeder,
     SyntheticBatchSource,
     SyntheticCriteoDataset,
-    available_backends,
     build_plan,
     compile_graph_set,
     execute_graph_set,
@@ -298,7 +297,6 @@ def test_bench_parallel_scaling():
     }
     RESULTS["parallel_scaling_plan1_rows4096"] = {
         "cores": cores,
-        "backends_available": available_backends(),
         "single_core_ms_per_batch": round(single_s * 1e3, 4),
         "curve": curve,
         "gates": gates,

@@ -9,7 +9,8 @@ column layout) crosses the pipe; the parent attaches, **unlinks
 immediately** (the mapping survives; the name cannot leak), and rebuilds
 the batch as zero-copy views.
 
-Lifecycle discipline mirrors :mod:`repro.preprocessing.parallel`: the
+The layout and the segment helpers are the data plane's one batch codec,
+:mod:`repro.preprocessing.shm`, shared with the parallel engine: the
 segment name is registered with the parent's resource tracker (workers
 are forked after ``ensure_running``), and exactly one ``unlink`` per name
 retires it -- either :func:`decode_batch` on delivery or
@@ -26,16 +27,17 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-
-import numpy as np
+from multiprocessing import shared_memory
 
 from ..preprocessing.data import Batch
-from ..preprocessing.parallel import (
+from ..preprocessing.shm import (
     _decode_input_batch,
     _release_fd,
     attach_segment,
+    batch_layout,
     leaked_segments,
     unlink_segment,
+    write_batch,
 )
 
 __all__ = [
@@ -51,12 +53,7 @@ __all__ = [
 DISABLE_ENV = "RAP_DISABLE_SHM_INGEST"
 SHM_PREFIX = "rap-ing"
 
-_ALIGN = 64
 _handle_ids = itertools.count()
-
-
-def _align(nbytes: int) -> int:
-    return (nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
 def shm_available() -> bool:
@@ -89,58 +86,21 @@ class ShmBatchHandle:
 def encode_batch(batch: Batch, prefix: str = SHM_PREFIX) -> ShmBatchHandle:
     """Copy ``batch`` into a fresh named segment (producer side).
 
-    The layout format is shared with the parallel engine's input path
-    (:func:`repro.preprocessing.parallel._decode_input_batch`), so decode
-    is the exact same trusted-view reconstruction.
+    The layout comes from the data plane's one batch codec
+    (:mod:`repro.preprocessing.shm`), the same one the parallel engine
+    writes its input segment with, so decode is the exact same
+    trusted-view reconstruction.
     """
-    from multiprocessing import shared_memory
-
-    layout: dict[str, tuple] = {}
-    offset = 0
-    for name in sorted(batch.dense):
-        values = batch.dense[name].values
-        layout[name] = ("dense", values.dtype.str, offset, len(values))
-        offset += _align(values.nbytes)
-    for name in sorted(batch.sparse):
-        col = batch.sparse[name]
-        o_off = offset
-        offset += _align(col.offsets.nbytes)
-        v_off = offset
-        offset += _align(col.values.nbytes)
-        layout[name] = (
-            "sparse",
-            o_off,
-            len(col.offsets),
-            col.values.dtype.str,
-            v_off,
-            len(col.values),
-            col.hash_size,
-        )
+    layout, placements, nbytes = batch_layout(batch, {*batch.dense, *batch.sparse})
     seg_name = f"{prefix}-{os.getpid()}-{next(_handle_ids)}"
-    seg = shared_memory.SharedMemory(name=seg_name, create=True, size=max(offset, 1))
+    seg = shared_memory.SharedMemory(name=seg_name, create=True, size=max(nbytes, 1))
     try:
-        for name, entry in layout.items():
-            if entry[0] == "dense":
-                _, dtype, off, length = entry
-                _put(seg, off, np.dtype(dtype), batch.dense[name].values)
-            else:
-                col = batch.sparse[name]
-                _, o_off, _, v_dtype, v_off, _, _ = entry
-                _put(seg, o_off, np.dtype(np.int64), col.offsets)
-                _put(seg, v_off, np.dtype(v_dtype), col.values)
+        write_batch(seg.buf, placements)
     finally:
         # The producer never reads the segment back; drop its mapping
         # (the parent holds the only long-lived attachment).
         seg.close()
-    return ShmBatchHandle(seg_name, layout, offset)
-
-
-def _put(seg, offset: int, dtype: np.dtype, values: np.ndarray) -> None:
-    if len(values) == 0:
-        return
-    view = np.frombuffer(seg.buf, dtype=dtype, count=len(values), offset=offset)
-    np.copyto(view, values, casting="no")
-    del view  # the exported pointer must die before seg.close()
+    return ShmBatchHandle(seg_name, layout, nbytes)
 
 
 def decode_batch(handle: ShmBatchHandle) -> Batch:

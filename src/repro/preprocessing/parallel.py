@@ -11,20 +11,21 @@ set into one flat program. This module scales that program across cores:
   worker map is deterministic at any worker count.
 - **Persistent, lazily-spawned workers** -- each shard compiles (in its
   own process, on first ``execute``) into a :class:`CompiledProgram`
-  over the *same* slot plan and kernel backend as the single-core
-  lowering. Fused kernels are elementwise over concatenated member
-  segments, so executing a subset of a slot's members in another process
-  produces byte-for-byte the column the single-core step would -- the
-  determinism argument behind the bit-identity guarantee (enforced
-  property-based by ``tests/preprocessing/test_engine_equivalence.py``).
+  over the *same* slot plan as the single-core lowering. Fused kernels
+  are elementwise over concatenated member segments, so executing a
+  subset of a slot's members in another process produces byte-for-byte
+  the column the single-core step would -- the determinism argument
+  behind the bit-identity guarantee (enforced property-based by
+  ``tests/preprocessing/test_engine_equivalence.py``).
 - **Shared-memory arenas** -- workers lease output buffers from a
   :class:`ShardArena` that bump-allocates inside named
   ``multiprocessing.shared_memory`` segments, so the parent assembles the
   output batch from zero-copy views; only tiny descriptor tuples cross
-  the pipe. Segment lifecycle is leak-proof: every name carries the
-  engine's prefix, the parent unlinks all known names on ``close()``
-  and then sweeps ``/dev/shm`` for the prefix, covering worker crashes
-  at any point (tested under SIGKILL).
+  the pipe. The parent writes each input batch with the data plane's one
+  batch codec (:mod:`repro.preprocessing.shm`). Segment lifecycle is
+  leak-proof: every name carries the engine's prefix, the parent unlinks
+  all known names on ``close()`` and then sweeps ``/dev/shm`` for the
+  prefix, covering worker crashes at any point (tested under SIGKILL).
 
 Lease semantics match the single-core engine: a batch's output views are
 valid until the next ``execute`` (pass ``copy_outputs=True`` otherwise).
@@ -39,7 +40,6 @@ import pickle
 import traceback
 import weakref
 from multiprocessing import get_context, shared_memory
-from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -56,6 +56,19 @@ from .engine import (
 from .executor import MissingColumnsError
 from .graph import GraphSet
 from .ops import PreprocessingOp
+from .shm import (
+    _ALIGN,
+    _align,
+    _decode_input_batch,
+    _defuse,
+    _release_fd,
+    _sweep_prefix,
+    attach_segment,
+    batch_layout,
+    leaked_segments,
+    unlink_segment,
+    write_batch,
+)
 
 if TYPE_CHECKING:  # annotation only: the data plane never imports the solver
     from ..milp.fusion_problem import FusionAssignment
@@ -71,10 +84,8 @@ __all__ = [
     "unlink_segment",
 ]
 
-_ALIGN = 64  # cache-line align every allocation inside a segment
 _PAGE = 4096
 _MIN_SEGMENT_BYTES = 1 << 20
-_SHM_DIR = Path("/dev/shm")
 
 _engine_ids = itertools.count()
 
@@ -83,90 +94,9 @@ class EngineWorkerError(RuntimeError):
     """A shard worker crashed or reported a failure."""
 
 
-def _align(nbytes: int) -> int:
-    return (nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
 def _round_segment(nbytes: int) -> int:
     nbytes = max(nbytes, _MIN_SEGMENT_BYTES)
     return (nbytes + _PAGE - 1) & ~(_PAGE - 1)
-
-
-def _noop() -> None:
-    pass
-
-
-def _defuse(shm: shared_memory.SharedMemory) -> shared_memory.SharedMemory:
-    """Disarm ``shm.close`` so GC never raises on live numpy views.
-
-    The engine hands out zero-copy views whose lifetime it does not
-    control (lease semantics: valid until the next execute). If the
-    ``SharedMemory`` object is collected while such a view is alive,
-    ``__del__`` -> ``close`` raises ``BufferError: cannot close exported
-    pointers exist``. Shadowing ``close`` keeps the mapping alive until
-    the views (which hold the buffer via their ``base`` chain) die, at
-    which point the mmap closes itself; the *unlink* side is unaffected.
-    """
-    shm.close = _noop
-    return shm
-
-
-def _release_fd(shm: shared_memory.SharedMemory) -> None:
-    """Close a defused segment's file descriptor (the mmap outlives it)."""
-    fd = getattr(shm, "_fd", -1)
-    if fd >= 0:
-        try:
-            os.close(fd)
-        except OSError:  # pragma: no cover
-            pass
-        shm._fd = -1
-
-
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach an existing segment for zero-copy reads.
-
-    Attaching re-registers the name with the resource tracker, which is
-    harmless: the tracker's cache is a set, so the single registration is
-    cleared by whoever calls ``unlink`` -- exactly once per name.
-    """
-    return _defuse(shared_memory.SharedMemory(name=name))
-
-
-def unlink_segment(name: str) -> bool:
-    """Best-effort unlink of a (possibly already gone) segment by name.
-
-    ``SharedMemory.unlink`` also unregisters the name from the resource
-    tracker, retiring the registration made at creation time.
-    """
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    try:
-        seg.unlink()
-    except FileNotFoundError:  # pragma: no cover - raced with another unlink
-        pass
-    try:
-        seg.close()
-    except BufferError:  # pragma: no cover
-        pass
-    return True
-
-
-def leaked_segments(prefix: str) -> list[str]:
-    """Names under ``/dev/shm`` carrying ``prefix`` (for leak tests)."""
-    if not _SHM_DIR.is_dir():  # pragma: no cover - non-POSIX fallback
-        return []
-    return sorted(p.name for p in _SHM_DIR.glob(prefix + "*"))
-
-
-def _sweep_prefix(prefix: str) -> int:
-    """Unlink every segment whose name starts with ``prefix``."""
-    removed = 0
-    for name in leaked_segments(prefix):
-        if unlink_segment(name):
-            removed += 1
-    return removed
 
 
 def _addr_of(buf) -> int:
@@ -234,18 +164,15 @@ def _compile_shard(
     slots: list[int],
     rows: int,
     arena,
-    backend,
 ) -> CompiledProgram:
     """Lower one shard's (ops, slots) slice with the engine's own grouper."""
     produced, _ = _global_deps(ops)
-    steps = _group_and_lower(ops, slots, backend)
     return CompiledProgram(
-        steps,
+        _group_and_lower(ops, slots),
         rows=rows,
         required_inputs=_required_inputs(ops, produced),
         num_ops=len(ops),
         arena=arena,
-        backend=backend,
     )
 
 
@@ -386,13 +313,8 @@ def _worker_main(conn, payload: bytes) -> None:
     """Shard worker loop: attach inputs, execute, reply with descriptors."""
     spec = pickle.loads(payload)
     try:
-        backend = None
-        if spec["backend"] not in (None, "numpy"):
-            from .backends import resolve_backend
-
-            backend = resolve_backend(spec["backend"])
         arena = ShardArena(spec["prefix"], spec["start_bytes"])
-        program = _compile_shard(spec["ops"], spec["slots"], spec["rows"], arena, backend)
+        program = _compile_shard(spec["ops"], spec["slots"], spec["rows"], arena)
         produced = [op.output for op in spec["ops"]]
         conn.send(
             (
@@ -400,8 +322,6 @@ def _worker_main(conn, payload: bytes) -> None:
                 {
                     "steps": program.num_steps,
                     "max_fusion_degree": program.max_fusion_degree,
-                    "backend": program.backend_name,
-                    "backend_steps": program.backend_step_counts(),
                     "segments": arena.drain_fresh(),
                 },
             )
@@ -448,7 +368,6 @@ def _worker_main(conn, payload: bytes) -> None:
                         col.hash_size,
                     )
                 columns.append(desc)
-            fallbacks = backend.fallbacks if backend is not None else 0
             conn.send(
                 (
                     "ok",
@@ -459,38 +378,11 @@ def _worker_main(conn, payload: bytes) -> None:
                         "fresh": arena.drain_fresh(),
                         "retired": arena.drain_retired(),
                         "segment_bytes": arena.stats()["segment_bytes"],
-                        "fallbacks": fallbacks,
                     },
                 )
             )
         except Exception:
             conn.send(("err", seq, traceback.format_exc()))
-
-
-def _decode_input_batch(shm, layout) -> Batch:
-    dense = {}
-    sparse = {}
-    for name, entry in layout.items():
-        kind = entry[0]
-        if kind == "dense":
-            _, dtype, offset, length = entry
-            arr = np.frombuffer(shm.buf, dtype=np.dtype(dtype), count=length, offset=offset)
-            dense[name] = DenseColumn.trusted(name, arr)
-        else:
-            _, o_off, o_len, v_dtype, v_off, v_len, hash_size = entry
-            offsets = np.frombuffer(shm.buf, dtype=np.int64, count=o_len, offset=o_off)
-            if v_len:
-                values = np.frombuffer(
-                    shm.buf, dtype=np.dtype(v_dtype), count=v_len, offset=v_off
-                )
-            else:
-                values = np.empty(0, dtype=np.dtype(v_dtype))
-            sparse[name] = SparseColumn.trusted(name, offsets, values, hash_size)
-    batch = Batch.__new__(Batch)
-    batch.dense = dense
-    batch.sparse = sparse
-    batch._nbytes = None
-    return batch
 
 
 # ----------------------------------------------------------------------
@@ -527,10 +419,6 @@ class EngineMetrics:
         self.shm_segments = registry.gauge(
             "rap_engine_shm_segments", "Live engine shared-memory segments."
         )
-        self.kernel_fallbacks_total = registry.counter(
-            "rap_engine_kernel_fallbacks_total",
-            "Accelerated kernels demoted to numpy at runtime.",
-        )
 
     def worker_busy(self, worker: int, seconds: float) -> None:
         self.registry.counter(
@@ -545,14 +433,6 @@ class EngineMetrics:
             "Per-worker busy seconds / engine wall seconds (cumulative).",
             labels={"worker": str(worker)},
         ).set(fraction)
-
-    def backend_steps(self, counts: dict[str, int]) -> None:
-        for backend, steps in counts.items():
-            self.registry.gauge(
-                "rap_engine_backend_steps",
-                "Compiled fused steps per effective kernel backend.",
-                labels={"backend": backend},
-            ).set(steps)
 
 
 # ----------------------------------------------------------------------
@@ -588,7 +468,6 @@ class ParallelEngine:
         assignment: FusionAssignment | None = None,
         fusion: bool = True,
         workers: int = 2,
-        backend: str | None = None,
         metrics: EngineMetrics | None = None,
         start_method: str | None = None,
         start_bytes: int = _MIN_SEGMENT_BYTES,
@@ -599,7 +478,6 @@ class ParallelEngine:
         self.rows = graph_set.rows
         self.num_ops = len(ops)
         self.workers = workers
-        self.backend_name = backend or "numpy"
         self.required_inputs = _required_inputs(ops, produced)
         self._ops = ops
         self._slots = slots
@@ -641,21 +519,16 @@ class ParallelEngine:
         return [len(s) for s in self._shards]
 
     def summary(self) -> dict:
-        backend_steps: dict[str, int] = {}
         steps = 0
         max_deg = 0
         for handle in self._worker_handles:
             steps += handle.info.get("steps", 0)
             max_deg = max(max_deg, handle.info.get("max_fusion_degree", 0))
-            for name, count in handle.info.get("backend_steps", {}).items():
-                backend_steps[name] = backend_steps.get(name, 0) + count
         return {
             "ops": self.num_ops,
             "steps": steps,
             "max_fusion_degree": max_deg,
             "batches_executed": self.batches_executed,
-            "backend": self.backend_name,
-            "backend_steps": backend_steps,
             "workers": self.num_workers,
             "shards": self.shard_sizes(),
             "shm_bytes": self.shm_bytes_in_flight(),
@@ -697,7 +570,6 @@ class ParallelEngine:
                 "ops": [self._ops[j] for j in shard],
                 "slots": [self._slots[j] for j in shard],
                 "rows": self.rows,
-                "backend": self.backend_name,
                 "prefix": f"{self.prefix}-w{i}",
                 "start_bytes": self._start_bytes,
             }
@@ -717,7 +589,6 @@ class ParallelEngine:
                 raise EngineWorkerError(f"worker {i} failed to compile: {reply[2]}")
             handle.info = reply[1]
             self._known_segments.update(handle.info.pop("segments", []))
-        self.metrics.backend_steps(self.summary()["backend_steps"])
         self._started = True
 
     def _recv(self, worker_id: int, handle: _WorkerHandle):
@@ -773,10 +644,6 @@ class ParallelEngine:
         if self.metrics is not None:
             self.metrics.shm_bytes_in_flight.set(0)
             self.metrics.shm_segments.set(0)
-        try:
-            atexit.unregister(self._finalizer)
-        except Exception:  # pragma: no cover
-            pass
         self._finalizer.detach()
 
     def __enter__(self) -> "ParallelEngine":
@@ -806,42 +673,9 @@ class ParallelEngine:
             unlink_segment(old.name)
 
     def _write_inputs(self, batch: Batch) -> dict:
-        arrays: list[tuple[np.ndarray, int]] = []
-        layout: dict[str, tuple] = {}
-        cursor = 0
-
-        def stage(arr: np.ndarray) -> int:
-            nonlocal cursor
-            offset = cursor
-            arrays.append((arr, offset))
-            cursor += _align(arr.nbytes)
-            return offset
-
-        for name in sorted(self.required_inputs):
-            col = batch.dense.get(name)
-            if col is not None:
-                offset = stage(col.values)
-                layout[name] = ("dense", col.values.dtype.str, offset, col.values.shape[0])
-                continue
-            col = batch.sparse[name]
-            o_off = stage(col.offsets)
-            v_off = stage(col.values) if col.values.shape[0] else 0
-            layout[name] = (
-                "sparse",
-                o_off,
-                col.offsets.shape[0],
-                col.values.dtype.str,
-                v_off,
-                col.values.shape[0],
-                col.hash_size,
-            )
-        self._ensure_input_segment(max(cursor, _ALIGN))
-        buf = self._input_shm.buf
-        for arr, offset in arrays:
-            if arr.nbytes == 0:
-                continue
-            view = np.frombuffer(buf, dtype=arr.dtype, count=arr.shape[0], offset=offset)
-            np.copyto(view, arr)
+        layout, placements, nbytes = batch_layout(batch, self.required_inputs)
+        self._ensure_input_segment(max(nbytes, _ALIGN))
+        write_batch(self._input_shm.buf, placements)
         return layout
 
     def _resolve_desc(self, desc) -> np.ndarray:
@@ -922,11 +756,6 @@ class ParallelEngine:
                     _release_fd(stale)
                 self._known_segments.discard(name)
                 unlink_segment(name)
-            if seg_info["fallbacks"]:
-                self.metrics.kernel_fallbacks_total.inc(
-                    seg_info["fallbacks"] - handle.info.get("fallbacks_seen", 0)
-                )
-                handle.info["fallbacks_seen"] = seg_info["fallbacks"]
             for desc in columns:
                 name, kind = desc[0], desc[1]
                 if kind == "dense":

@@ -25,7 +25,7 @@ from repro.ingest.shmio import (
     shm_available,
 )
 from repro.ingest.sources import SyntheticSource
-from repro.preprocessing import KAGGLE_SCHEMA, SyntheticCriteoDataset
+from repro.preprocessing import KAGGLE_SCHEMA, Batch, SparseColumn, SyntheticCriteoDataset
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="shared-memory handoff unavailable on this host"
@@ -55,8 +55,20 @@ def _assert_batches_equal(a, b) -> None:
         assert np.array_equal(x.values, y.values)
 
 
-def test_encode_decode_round_trip():
+def _empty_first_sparse_column(batch):
+    """``batch`` with its first sparse column emptied (every row has no ids)."""
+    name = sorted(batch.sparse)[0]
+    col = batch.sparse[name]
+    sparse = dict(batch.sparse)
+    sparse[name] = SparseColumn(name, np.zeros_like(col.offsets), col.values[:0], col.hash_size)
+    return Batch(dense=batch.dense, sparse=sparse)
+
+
+@pytest.mark.parametrize("empty_sparse", [False, True], ids=["synthetic", "empty-sparse-column"])
+def test_encode_decode_round_trip(empty_sparse):
     batch = SyntheticCriteoDataset(KAGGLE_SCHEMA, seed=3).batch(128, index=0)
+    if empty_sparse:
+        batch = _empty_first_sparse_column(batch)
     handle = encode_batch(batch)
     assert handle.nbytes > 0
     out = decode_batch(handle)

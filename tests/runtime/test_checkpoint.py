@@ -459,3 +459,32 @@ class TestKillAndResume:
         assert types.index("kill") < types.index("resume")
         # Everything after the kill came from the resumed process.
         assert types[types.index("resume") + 1] == "run"
+
+    def test_journal_is_independent_of_the_checkpoint_root(self, setting, tmp_path):
+        """The same seeded killed-and-resumed run writes the same journal bytes
+        whichever directory it checkpoints into."""
+        graphs, _, workload = setting
+        journals = []
+        for root in (tmp_path / "a", tmp_path / "elsewhere" / "b"):
+            path = root / "journal.jsonl"
+            with RunJournal(path) as journal:
+                runtime = make_runtime(graphs, workload, journal=journal)
+                with pytest.raises(SimulatedKill):
+                    runtime.run(16, report=ResilienceReport(),
+                                checkpoints=CheckpointManager(root),
+                                checkpoint_every=4, kill_after=10)
+            snapshot = CheckpointManager(root).latest()
+            with RunJournal(path) as journal:
+                resumed, report, start = FaultTolerantRuntime.restore(
+                    snapshot, graphs, workload, lambda wl: RapPlanner(wl),
+                    injector=FaultInjector(specs=SPECS, seed=SEED),
+                    journal=journal,
+                )
+                resumed.run(16 - start, start_iteration=start, report=report)
+            journals.append(path.read_bytes())
+        assert journals[0] == journals[1]
+        records = [json.loads(line) for line in journals[0].splitlines()]
+        assert [r["path"] for r in records if r["type"] == "checkpoint"]
+        assert all(r["path"].startswith("ckpt-") for r in records if r["type"] == "checkpoint")
+        resumes = [r["checkpoint"] for r in records if r["type"] == "resume"]
+        assert resumes == [snapshot.directory.name]

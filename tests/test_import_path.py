@@ -4,7 +4,10 @@ scipy (~1.4 s to import) and networkx have no place on the import path:
 scipy loads on the first MILP solve or fig-5 correlation only. The data
 plane (``repro.preprocessing``, ``repro.ingest``) must not import the
 control plane (``repro.core``, ``repro.milp``, ``repro.experiments``)
-when it loads.
+when it loads. Ingest shares the data plane's batch codec
+(``repro.preprocessing.shm``) rather than reaching into the multi-core
+engine, and no module imports a kernel library (numba, numexpr): the
+``ops.py`` kernels are the only kernel table.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 HEAVY_LIBRARIES = ("scipy", "networkx")
 DATA_PLANE = ("repro.preprocessing", "repro.ingest")
 CONTROL_PLANE = ("repro.core", "repro.milp", "repro.experiments")
+KERNEL_LIBRARIES = ("numba", "numexpr")
 
 
 def _module_name(path: Path) -> str:
@@ -59,12 +63,12 @@ def _load_time_statements(body: list[ast.stmt]):
             yield from _load_time_statements(node.body)
 
 
-def _load_time_imports(path: Path) -> set[str]:
-    """Absolute names of every module ``path`` imports when it loads."""
+def _imported_names(path: Path, nodes) -> set[str]:
+    """Absolute names of the modules the import statements in ``nodes`` import."""
     module = _module_name(path)
     package = module if path.name == "__init__.py" else module.rpartition(".")[0]
     names: set[str] = set()
-    for node in _load_time_statements(ast.parse(path.read_text()).body):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -78,6 +82,16 @@ def _load_time_imports(path: Path) -> set[str]:
             # ``from pkg import sub`` may import the submodule ``pkg.sub``.
             names.update(f"{prefix}.{alias.name}" for alias in node.names)
     return names
+
+
+def _load_time_imports(path: Path) -> set[str]:
+    """Absolute names of every module ``path`` imports when it loads."""
+    return _imported_names(path, _load_time_statements(ast.parse(path.read_text()).body))
+
+
+def _all_imports(path: Path) -> set[str]:
+    """Absolute names of every module ``path`` imports anywhere, functions included."""
+    return _imported_names(path, ast.walk(ast.parse(path.read_text())))
 
 
 def _within(name: str, roots: tuple[str, ...]) -> bool:
@@ -95,6 +109,20 @@ def test_module_level_imports_respect_layering():
                 layering.append(f"{module} imports {name}")
     assert not heavy, "import these inside the function that uses them: " + "; ".join(heavy)
     assert not layering, "the data plane imports the control plane: " + "; ".join(layering)
+
+
+def test_ingest_skips_the_engine_and_no_module_imports_a_kernel_library():
+    offenders = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        module = _module_name(path)
+        for name in sorted(_all_imports(path)):
+            if _within(name, KERNEL_LIBRARIES):
+                offenders.append(f"{module} imports {name}")
+            if _within(module, ("repro.ingest",)) and _within(
+                name, ("repro.preprocessing.parallel",)
+            ):
+                offenders.append(f"{module} imports {name}; use repro.preprocessing.shm")
+    assert not offenders, "; ".join(offenders)
 
 
 def test_cli_import_and_plan_load_no_scipy(tmp_path):
